@@ -1,0 +1,23 @@
+//! Records the compiler version and build profile for the host
+//! fingerprint the benchmark prints beside every result.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let profile = format!(
+        "{} (opt-level {})",
+        std::env::var("PROFILE").unwrap_or_default(),
+        std::env::var("OPT_LEVEL").unwrap_or_default()
+    );
+    println!("cargo:rustc-env=HOSTCOST_RUSTC={version}");
+    println!("cargo:rustc-env=HOSTCOST_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
